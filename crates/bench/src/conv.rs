@@ -480,6 +480,8 @@ mod tests {
 
     #[test]
     fn smoke_bench_document_is_well_formed() {
+        // Its forward passes would land in a concurrently profiled run.
+        let _g = crate::profile_lock();
         let bench = run_conv_bench(1, true).unwrap();
         let doc = conv_json(&bench, sweep_widths(&bench));
         let parsed = pcnn_telemetry::json::parse(&doc).unwrap();

@@ -398,13 +398,7 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The profiler tables are process-global; tests serialise on this.
-    fn profile_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::profile_lock;
 
     #[test]
     fn unknown_model_is_none() {

@@ -78,7 +78,10 @@ fn profile_json_is_byte_identical_across_binary_runs() {
     assert_eq!(a, b, "profile documents differ at the binary level");
     // The document must also match the committed baseline's generator,
     // which is what `pcnn obs check` regenerates as a fresh candidate.
-    let fresh = profile::profile_json(&profile::baseline_run().unwrap());
+    let fresh = {
+        let _guard = PROFILE_LOCK.lock().unwrap();
+        profile::profile_json(&profile::baseline_run().unwrap())
+    };
     assert_eq!(String::from_utf8(a).unwrap(), fresh);
 }
 

@@ -10,6 +10,7 @@
 //!    (eq. 12), shrinking the batch until the requirement holds (eq. 13).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pcnn_data::WorkloadKind;
 use pcnn_gpu::sim::dispatch::simulate_kernel;
@@ -20,6 +21,7 @@ use pcnn_kernels::{tune_kernel, tune_kernel_candidates, Library, TunedKernel};
 use pcnn_nn::spec::{LayerSpec, NetworkSpec};
 
 use crate::error::{Error, Result};
+use crate::runtime::{simulate_schedule_with, NetworkCost};
 use crate::task::{AppSpec, UserRequirements};
 use crate::timemodel::{adjust_batch, opt_sm, tuned_layer_time};
 
@@ -226,16 +228,41 @@ impl<P: ScheduleProvider> ScheduleProvider for ScheduleCache<P> {
 }
 
 /// The cross-platform offline compiler.
+///
+/// A compiler owns one [`SimCache`] for its architecture and profiles
+/// every candidate kernel of every compilation through it, so a wave
+/// simulated once (by any layer, batch size or perforation level) is
+/// never simulated again for the compiler's lifetime. Clones share the
+/// cache.
 #[derive(Debug, Clone)]
 pub struct OfflineCompiler<'a> {
     arch: &'a GpuArch,
     spec: &'a NetworkSpec,
+    waves: Arc<SimCache>,
 }
 
 impl<'a> OfflineCompiler<'a> {
-    /// Creates a compiler for one (architecture, network) pair.
+    /// Creates a compiler for one (architecture, network) pair, with an
+    /// empty wave cache.
     pub fn new(arch: &'a GpuArch, spec: &'a NetworkSpec) -> Self {
-        Self { arch, spec }
+        Self {
+            arch,
+            spec,
+            waves: Arc::new(SimCache::new()),
+        }
+    }
+
+    /// The wave cache every simulation of this compiler goes through.
+    pub fn sim_cache(&self) -> &SimCache {
+        &self.waves
+    }
+
+    /// [`simulate_schedule`](crate::runtime::simulate_schedule) on this
+    /// compiler's architecture and wave cache: the kernels a compilation
+    /// just profiled are priced from the memo. Bitwise equal to the
+    /// fresh-cache call.
+    pub fn simulate(&self, schedule: &Schedule) -> NetworkCost {
+        simulate_schedule_with(self.arch, schedule, &self.waves)
     }
 
     /// §IV.B.1(a): the optimal background batch — the smallest batch at
@@ -352,8 +379,7 @@ impl<'a> OfflineCompiler<'a> {
                         tlp: *tlp,
                         power_gate: true,
                     };
-                    let mut cache = SimCache::new();
-                    let sim = simulate_kernel(self.arch, &kernel, policy, &mut cache);
+                    let sim = simulate_kernel(self.arch, &kernel, policy, &self.waves);
                     let measured = sim.seconds * groups as f64;
                     let (_, t) = tuned_layer_time(self.arch, shape, tuned, groups);
                     pcnn_telemetry::counter("offline.candidates.profiled", 1);

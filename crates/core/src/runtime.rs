@@ -29,7 +29,21 @@ pub struct NetworkCost {
 
 /// Simulates every layer of `schedule` once and sums time and energy.
 /// Grouped-convolution groups run back-to-back (cost multiplied).
+///
+/// This is the fresh-cache reference: nothing is reused from earlier
+/// calls. [`OfflineCompiler::simulate`](crate::offline::OfflineCompiler::simulate)
+/// returns the same cost from the compiler's shared wave cache.
 pub fn simulate_schedule(arch: &GpuArch, schedule: &Schedule) -> NetworkCost {
+    simulate_schedule_with(arch, schedule, &SimCache::new())
+}
+
+/// [`simulate_schedule`] looking waves up in `cache`, which must only
+/// ever be used with `arch`.
+pub(crate) fn simulate_schedule_with(
+    arch: &GpuArch,
+    schedule: &Schedule,
+    cache: &SimCache,
+) -> NetworkCost {
     let _span = pcnn_telemetry::span!(
         "runtime.simulate_schedule",
         batch = schedule.batch,
@@ -44,8 +58,7 @@ pub fn simulate_schedule(arch: &GpuArch, schedule: &Schedule) -> NetworkCost {
         } else {
             DispatchPolicy::RoundRobin
         };
-        let mut cache = SimCache::new();
-        let r = simulate_kernel(arch, &layer.kernel, policy, &mut cache);
+        let r = simulate_kernel(arch, &layer.kernel, policy, cache);
         let g = layer.groups as f64;
         seconds += r.seconds * g;
         energy = energy.plus(&r.energy.scaled(g));

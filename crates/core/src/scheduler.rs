@@ -196,7 +196,7 @@ pub fn decide(kind: SchedulerKind, ctx: &SchedulerContext<'_>) -> Result<Decisio
                     while idx + 1 < ctx.tuning_path.entries.len() {
                         let rates = map_rates(&ctx.tuning_path.entries[idx].plan, n_convs);
                         let sched = compiler.try_compile_perforated(s.batch, &rates, true)?;
-                        let cost = crate::runtime::simulate_schedule(ctx.arch, &sched);
+                        let cost = compiler.simulate(&sched);
                         if cost.seconds <= deadline {
                             break;
                         }

@@ -6,6 +6,8 @@ pub mod trace;
 pub mod warp;
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::arch::GpuArch;
 use crate::occupancy::KernelResources;
@@ -37,56 +39,165 @@ impl KernelDesc {
     }
 }
 
-/// Memoization of single-SM wave simulations, keyed by
-/// `(resident CTAs, active SMs)`.
+/// Content key of one wave simulation: the interned per-warp trace plus
+/// the scalars [`simulate_wave`] reads. Kernel name and grid size do not
+/// enter a wave, so they are not part of the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct WaveKey {
+    trace: u32,
+    warps: usize,
+    tlp: usize,
+    active_sms: usize,
+}
+
+#[derive(Debug, Default)]
+struct Memo {
+    /// Every distinct trace seen, stored once; keys refer to it by index.
+    traces: HashMap<CtaTrace, u32>,
+    waves: HashMap<WaveKey, u64>,
+}
+
+/// Memoization of single-SM wave simulations, keyed by content.
+///
+/// A wave's cycle count depends only on the architecture, the kernel's
+/// per-warp trace, its warps per CTA, the CTAs resident on the SM and the
+/// number of SMs sharing DRAM bandwidth. The key is exactly those inputs
+/// (the trace interned, so each distinct trace is stored once), which
+/// makes one cache valid for every kernel simulated on one architecture:
+/// a compiler can share it across all candidates of all layers of all its
+/// compilations. The cache binds to the architecture of its first lookup
+/// and panics if it is later used with a different one.
+///
+/// The cache is thread-safe: pool workers share it through `&SimCache`.
+/// A miss simulates outside the lock, so two workers missing the same
+/// wave at once may both simulate it; only the one that stores it counts
+/// a miss (the other counts a hit), so [`hits`](Self::hits),
+/// [`misses`](Self::misses) and the `sim.cache.*` / `sim.wave.*`
+/// telemetry counters do not depend on thread timing.
 #[derive(Debug, Default)]
 pub struct SimCache {
-    waves: HashMap<(usize, usize), u64>,
-    hits: u64,
-    misses: u64,
+    arch: OnceLock<GpuArch>,
+    memo: Mutex<Memo>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl SimCache {
-    /// Creates an empty cache. One cache is valid for a single
-    /// `(arch, kernel)` pair — create a fresh one per kernel.
+    /// Creates an empty cache, bound to no architecture yet.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Lookups served from the memo without re-simulating.
+    /// Lookups answered by a wave already in the memo (including a
+    /// racing worker's lookup whose wave another worker stored first).
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that ran a detailed wave simulation.
+    /// Waves simulated in detail and stored: one per distinct key.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Cycles for `tlp` CTAs of `kernel` to run to completion on one SM
-    /// with `active_sms` SMs sharing DRAM bandwidth.
+    /// while `active_sms` SMs share DRAM bandwidth.
     ///
     /// Uses detailed simulation of a sampled number of main-loop iterations
     /// and linear extrapolation over the remaining trip count (steady-state
     /// CPI sampling).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is bound to a different architecture.
     pub fn wave_cycles(
-        &mut self,
+        &self,
         arch: &GpuArch,
         kernel: &KernelDesc,
         tlp: usize,
         active_sms: usize,
     ) -> u64 {
-        let key = (tlp, active_sms);
-        if let Some(&c) = self.waves.get(&key) {
-            self.hits += 1;
-            pcnn_telemetry::counter("sim.cache.hits", 1);
+        let trace = self.trace_id(arch, kernel);
+        self.cycles(arch, kernel, trace, tlp, active_sms)
+    }
+
+    /// Checks the architecture binding and interns `kernel`'s trace. A
+    /// launch calls this once, then looks its waves up with [`Self::cycles`]
+    /// so each lookup hashes only the scalar part of the key.
+    pub(crate) fn trace_id(&self, arch: &GpuArch, kernel: &KernelDesc) -> u32 {
+        let bound = self.arch.get_or_init(|| arch.clone());
+        assert!(
+            bound == arch,
+            "SimCache bound to architecture {} used with architecture {}: \
+             one cache is valid for one architecture",
+            bound.name,
+            arch.name
+        );
+        let mut memo = self.lock();
+        if let Some(&id) = memo.traces.get(&kernel.trace) {
+            return id;
+        }
+        let id = memo.traces.len() as u32;
+        memo.traces.insert(kernel.trace.clone(), id);
+        id
+    }
+
+    /// [`Self::wave_cycles`] for a trace already interned by
+    /// [`Self::trace_id`] on the same `arch` and `kernel`.
+    pub(crate) fn cycles(
+        &self,
+        arch: &GpuArch,
+        kernel: &KernelDesc,
+        trace: u32,
+        tlp: usize,
+        active_sms: usize,
+    ) -> u64 {
+        let key = WaveKey {
+            trace,
+            warps: kernel.warps_per_cta(),
+            tlp,
+            active_sms,
+        };
+        let stored = self.lock().waves.get(&key).copied();
+        if let Some(c) = stored {
+            self.count_hit();
             return c;
         }
-        self.misses += 1;
-        pcnn_telemetry::counter("sim.cache.misses", 1);
-        let cycles = simulate_wave(arch, kernel, tlp, active_sms);
-        self.waves.insert(key, cycles);
-        cycles
+        // Simulated without holding the lock: other workers keep looking
+        // up while this wave runs.
+        let c = simulate_wave(arch, kernel, tlp, active_sms);
+        if self.lock().waves.insert(key, c).is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            pcnn_telemetry::counter("sim.cache.misses", 1);
+            count_wave(kernel);
+        } else {
+            // Another worker stored the same wave first.
+            self.count_hit();
+        }
+        c
+    }
+
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        pcnn_telemetry::counter("sim.cache.hits", 1);
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Telemetry for one stored wave simulation: exact or extrapolated, and
+/// how many iterations the extrapolation covered.
+fn count_wave(kernel: &KernelDesc) {
+    let iters = kernel.trace.body_iters;
+    if iters <= 2 * SAMPLE_ITERS {
+        pcnn_telemetry::counter("sim.wave.exact", 1);
+    } else {
+        pcnn_telemetry::counter("sim.wave.extrapolated", 1);
+        pcnn_telemetry::counter(
+            "sim.wave.iters_extrapolated",
+            u64::from(iters - 2 * SAMPLE_ITERS),
+        );
     }
 }
 
@@ -95,15 +206,9 @@ fn simulate_wave(arch: &GpuArch, kernel: &KernelDesc, tlp: usize, active_sms: us
     let iters = kernel.trace.body_iters;
     if iters <= 2 * SAMPLE_ITERS {
         // Short loop: simulate exactly.
-        pcnn_telemetry::counter("sim.wave.exact", 1);
         let ops = kernel.trace.sampled(iters);
         return warp::simulate_sm(arch, &ops, warps, tlp, active_sms);
     }
-    pcnn_telemetry::counter("sim.wave.extrapolated", 1);
-    pcnn_telemetry::counter(
-        "sim.wave.iters_extrapolated",
-        u64::from(iters - 2 * SAMPLE_ITERS),
-    );
     // Two detailed runs give the steady-state cycles-per-iteration.
     let c1 = warp::simulate_sm(
         arch,
@@ -152,8 +257,8 @@ mod tests {
     fn wave_cycles_scale_with_iters() {
         let k_short = toy_kernel(8);
         let k_long = toy_kernel(80);
-        let mut c1 = SimCache::new();
-        let mut c2 = SimCache::new();
+        let c1 = SimCache::new();
+        let c2 = SimCache::new();
         let short = c1.wave_cycles(&K20C, &k_short, 2, 13);
         let long = c2.wave_cycles(&K20C, &k_long, 2, 13);
         // 10x the iterations: well over 3x the cycles even after the fixed
@@ -167,7 +272,7 @@ mod tests {
         // threshold, extrapolation must agree with exact simulation well.
         let k = toy_kernel(13);
         let exact = warp::simulate_sm(&K20C, &k.trace.sampled(13), k.warps_per_cta(), 2, 13);
-        let mut cache = SimCache::new();
+        let cache = SimCache::new();
         let est = cache.wave_cycles(&K20C, &k, 2, 13);
         let err = (est as f64 - exact as f64).abs() / exact as f64;
         assert!(err < 0.15, "extrapolation error {err:.3}: {est} vs {exact}");
@@ -176,17 +281,17 @@ mod tests {
     #[test]
     fn cache_is_hit() {
         let k = toy_kernel(40);
-        let mut cache = SimCache::new();
+        let cache = SimCache::new();
         let a = cache.wave_cycles(&K20C, &k, 3, 13);
         let b = cache.wave_cycles(&K20C, &k, 3, 13);
         assert_eq!(a, b);
-        assert_eq!(cache.waves.len(), 1);
+        assert_eq!(cache.lock().waves.len(), 1);
     }
 
     #[test]
     fn repeated_wave_cycles_do_not_resimulate() {
         let k = toy_kernel(40);
-        let mut cache = SimCache::new();
+        let cache = SimCache::new();
         let a = cache.wave_cycles(&K20C, &k, 3, 13);
         for _ in 0..5 {
             assert_eq!(cache.wave_cycles(&K20C, &k, 3, 13), a);
@@ -204,10 +309,92 @@ mod tests {
         // Running 4 CTAs together must take less than 4x the time of 1 CTA
         // (latency hiding) but at least as long as 1 CTA.
         let k = toy_kernel(40);
-        let mut cache = SimCache::new();
+        let cache = SimCache::new();
         let one = cache.wave_cycles(&K20C, &k, 1, 13);
         let four = cache.wave_cycles(&K20C, &k, 4, 13);
         assert!(four >= one);
         assert!(four < 4 * one, "no latency hiding: {four} vs 4x{one}");
+    }
+
+    #[test]
+    fn one_cache_serves_every_kernel_with_the_same_waves() {
+        // Name and grid size do not enter a wave: a second kernel that
+        // differs only in them is served entirely from the memo.
+        let a = toy_kernel(40);
+        let mut b = toy_kernel(40);
+        b.name = "other".into();
+        b.grid = 4096;
+        let cache = SimCache::new();
+        let ca = cache.wave_cycles(&K20C, &a, 3, 13);
+        let cb = cache.wave_cycles(&K20C, &b, 3, 13);
+        assert_eq!(ca, cb);
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    }
+
+    #[test]
+    fn different_wave_content_is_a_different_key() {
+        // A different trip count or block size changes the wave: each is a
+        // genuine miss with the value a fresh cache computes.
+        let base = toy_kernel(40);
+        let longer = toy_kernel(41);
+        let mut wider = toy_kernel(40);
+        wider.resources.block_size = 128;
+        let shared = SimCache::new();
+        for k in [&base, &longer, &wider] {
+            let fresh = SimCache::new().wave_cycles(&K20C, k, 2, 13);
+            assert_eq!(shared.wave_cycles(&K20C, k, 2, 13), fresh);
+        }
+        assert_eq!(shared.misses(), 3);
+        assert_eq!(shared.hits(), 0);
+        assert_eq!(shared.lock().traces.len(), 2, "block size shares the trace");
+    }
+
+    #[test]
+    #[should_panic(expected = "one cache is valid for one architecture")]
+    fn cache_bound_to_one_arch_rejects_another() {
+        let k = toy_kernel(8);
+        let cache = SimCache::new();
+        cache.wave_cycles(&K20C, &k, 1, 13);
+        cache.wave_cycles(&crate::arch::JETSON_TX1, &k, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one cache is valid for one architecture")]
+    fn cache_rejects_a_rescaled_copy_of_its_arch() {
+        // Same name, different clock: still a different architecture.
+        let k = toy_kernel(8);
+        let cache = SimCache::new();
+        cache.wave_cycles(&K20C, &k, 1, 13);
+        cache.wave_cycles(&K20C.with_frequency_scale(0.5), &k, 1, 13);
+    }
+
+    #[test]
+    fn shared_across_threads_matches_fresh_caches() {
+        let kernels: Vec<KernelDesc> = (10..18).map(toy_kernel).collect();
+        let cache = SimCache::new();
+        let got: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        kernels
+                            .iter()
+                            .map(|k| cache.wave_cycles(&K20C, k, 2, 13))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let want: Vec<u64> = kernels
+            .iter()
+            .map(|k| SimCache::new().wave_cycles(&K20C, k, 2, 13))
+            .collect();
+        for g in &got {
+            assert_eq!(g, &want);
+        }
+        // Racing workers that simulate the same wave count one miss
+        // between them, so the counters are exact whatever the timing.
+        assert_eq!(cache.misses(), 8);
+        assert_eq!(cache.hits(), 3 * 8);
     }
 }

@@ -119,7 +119,7 @@ impl InstrCounts {
 }
 
 /// Run-length-encoded per-warp program of one CTA.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CtaTrace {
     /// Executed once at CTA start (first tile loads, address setup).
     pub prologue: Vec<(Op, u32)>,

@@ -82,8 +82,8 @@ proptest! {
             DispatchPolicy::RoundRobin,
             DispatchPolicy::PrioritySm { sms: psm_sms, tlp: psm_tlp, power_gate: true },
         ] {
-            let mut cache = SimCache::new();
-            let r = simulate_kernel(arch, &k, policy, &mut cache);
+            let cache = SimCache::new();
+            let r = simulate_kernel(arch, &k, policy, &cache);
             prop_assert_eq!(r.instr, expected);
             prop_assert!(r.cycles > 0);
             prop_assert!(r.seconds > 0.0);
@@ -93,10 +93,10 @@ proptest! {
     /// Simulated time is monotone (weakly) in the grid size.
     #[test]
     fn time_monotone_in_grid(arch in arch_strategy(), grid in 1usize..30, extra in 1usize..30) {
-        let mut c1 = SimCache::new();
-        let mut c2 = SimCache::new();
-        let small = simulate_kernel(arch, &toy_kernel(grid, 64, 32, 8), DispatchPolicy::RoundRobin, &mut c1);
-        let large = simulate_kernel(arch, &toy_kernel(grid + extra, 64, 32, 8), DispatchPolicy::RoundRobin, &mut c2);
+        let c1 = SimCache::new();
+        let c2 = SimCache::new();
+        let small = simulate_kernel(arch, &toy_kernel(grid, 64, 32, 8), DispatchPolicy::RoundRobin, &c1);
+        let large = simulate_kernel(arch, &toy_kernel(grid + extra, 64, 32, 8), DispatchPolicy::RoundRobin, &c2);
         prop_assert!(large.cycles >= small.cycles, "{} < {}", large.cycles, small.cycles);
     }
 
@@ -105,14 +105,14 @@ proptest! {
     #[test]
     fn energy_sane(arch in arch_strategy(), grid in 1usize..20) {
         let k = toy_kernel(grid, 64, 32, 8);
-        let mut c1 = SimCache::new();
-        let rr = simulate_kernel(arch, &k, DispatchPolicy::RoundRobin, &mut c1);
-        let mut c2 = SimCache::new();
+        let c1 = SimCache::new();
+        let rr = simulate_kernel(arch, &k, DispatchPolicy::RoundRobin, &c1);
+        let c2 = SimCache::new();
         let psm = simulate_kernel(
             arch,
             &k,
             DispatchPolicy::PrioritySm { sms: 1, tlp: 4, power_gate: true },
-            &mut c2,
+            &c2,
         );
         for e in [&rr.energy, &psm.energy] {
             prop_assert!(e.dynamic_j >= 0.0 && e.leakage_j >= 0.0);

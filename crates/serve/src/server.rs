@@ -32,20 +32,36 @@ const EPS: f64 = 1e-12;
 /// cost oracle — each platform's costs come from *its own* ladder, so two
 /// platforms at different rungs predict different costs for the same
 /// batch.
+///
+/// The oracle keeps one [`OfflineCompiler`] per platform for its whole
+/// lifetime, so every key compiled on a platform (and the simulation of
+/// each winning schedule) shares that compiler's wave cache: an SM wave
+/// any earlier key already simulated is never simulated again. Costs are
+/// bitwise equal to compiling each key on a fresh compiler and pricing it
+/// with [`simulate_schedule`].
 pub struct CostOracle<'a> {
     platforms: &'a [Platform<'a>],
-    spec: &'a NetworkSpec,
+    compilers: Vec<OfflineCompiler<'a>>,
     cache: HashMap<(usize, usize, usize), NetworkCost>,
 }
 
 impl<'a> CostOracle<'a> {
-    /// Builds an empty oracle over the fleet.
+    /// Builds an empty oracle over the fleet, with one cold compiler per
+    /// platform.
     pub fn new(platforms: &'a [Platform<'a>], spec: &'a NetworkSpec) -> Self {
         Self {
             platforms,
-            spec,
+            compilers: platforms
+                .iter()
+                .map(|p| OfflineCompiler::new(p.arch, spec))
+                .collect(),
             cache: HashMap::new(),
         }
+    }
+
+    /// The compiler (and wave cache) the oracle prices `platform` with.
+    pub fn compiler(&self, platform: usize) -> &OfflineCompiler<'a> {
+        &self.compilers[platform]
     }
 
     /// Predicted cost of a `size`-image batch on `platform` at that
@@ -59,14 +75,10 @@ impl<'a> CostOracle<'a> {
         if let Some(c) = self.cache.get(&key) {
             return Ok(*c);
         }
-        let p = &self.platforms[platform];
-        let rung = &p.ladder.levels[level];
-        let schedule = OfflineCompiler::new(p.arch, self.spec).try_compile_perforated(
-            size,
-            &rung.rates,
-            true,
-        )?;
-        let mut c = simulate_schedule(p.arch, &schedule);
+        let rung = &self.platforms[platform].ladder.levels[level];
+        let compiler = &self.compilers[platform];
+        let schedule = compiler.try_compile_perforated(size, &rung.rates, true)?;
+        let mut c = compiler.simulate(&schedule);
         // An algorithm-downgrade rung runs the same work through faster
         // conv kernels: the simulator models the baseline algorithm, so
         // the rung's measured speedup scales predicted time and energy.
@@ -361,11 +373,10 @@ impl<'a> Server<'a> {
         costs: &mut CostOracle,
     ) -> Result<usize> {
         match workload.t_user() {
-            None => Ok(
-                OfflineCompiler::new(self.platforms[platform].arch, self.spec)
-                    .background_batch()
-                    .clamp(1, self.config.max_batch),
-            ),
+            None => Ok(costs
+                .compiler(platform)
+                .background_batch()
+                .clamp(1, self.config.max_batch)),
             Some(t_user) => {
                 let mut best = 1;
                 let mut b = 1;
